@@ -1,26 +1,22 @@
-"""Fused scan kernels: identity, tier × backend × selectivity, regression.
+"""Compiled scan kernels vs the numpy columnar scan: identity and sweep.
 
-Three measurements over a synthetic table shaped to maximize fused-kernel
-work (an unindexed filter dimension makes every run carry a residual
-check, so the kernels — not the exact-range fast path — do the scanning):
+Two measurements over a synthetic table shaped to maximize kernel work
+(an unindexed filter dimension makes every run carry a residual check,
+so the filtered rows — not the exact-range fast path — do the scanning):
 
-1. **Identity** — for every kernel tier importable here × every backend
-   (serial/thread/process), query results are identical to the seed's
+1. **Identity** — the numpy columnar scan (kernel None) and, when numba
+   is importable, the compiled tier, each × every backend
+   (serial/thread/process), return results identical to the seed's
    ``query_percell`` loop: byte-exact for COUNT/MIN/MAX/collect and all
    int64 aggregates, ~1e-9 relative for float SUM/AVG (documented
    accumulation-order difference).
-2. **Tier × backend × selectivity sweep** — a low-selectivity aggregate
-   is where fusion pays: the classic path still materializes masks and
-   dispatches visitors per run while the kernel answers the whole batch
-   in one pass. Persisted to ``results/BENCH_kernels.json`` for the perf
-   trajectory (picked up by ``repro bench-diff`` automatically). When
-   numba is importable, the headline assert requires the numba tier
-   >= ``MIN_NUMBA_SPEEDUP``x over numpy on the lowest-selectivity COUNT;
-   demote with ``REPRO_REQUIRE_KERNEL_SPEEDUP=0`` on noisy runners.
-3. **numpy regression** — the always-on numpy tier computes aggregates
-   directly from the combined mask (``where=`` reductions, no
-   ``values[mask]`` row copies); it must not lose to the classic per-run
-   path it replaced (same env-var demotion, identity always enforced).
+2. **Tier × backend × selectivity sweep** — persisted to
+   ``results/BENCH_kernels.json`` for the perf trajectory (picked up by
+   ``repro bench-diff`` automatically). Without numba it reports the
+   columnar scan alone. With numba, the headline assert requires the
+   compiled tier >= ``MIN_NUMBA_SPEEDUP``x over the columnar scan on the
+   lowest-selectivity COUNT; demote with
+   ``REPRO_REQUIRE_KERNEL_SPEEDUP=0`` on noisy runners.
 """
 
 import math
@@ -48,15 +44,13 @@ from repro.storage.visitor import (
 )
 
 ROWS = 200_000
-#: Tiers importable in this environment (numpy is always present).
-TIERS = ("numpy",) + (("numba",) if numba_available() else ())
+#: Tiers importable in this environment: None is the numpy columnar scan
+#: alone (always present), "numba" the compiled tier.
+TIERS = (None,) + (("numba",) if numba_available() else ())
 #: Fractions of the unindexed dimension's domain that pass the filter.
 SELECTIVITIES = (0.5, 0.1, 0.01)
-#: Required numba-over-numpy speedup on the lowest-selectivity COUNT.
+#: Required numba-over-columnar-scan speedup on the lowest-selectivity COUNT.
 MIN_NUMBA_SPEEDUP = 2.0
-#: The numpy fused path must at least hold serve with the classic path
-#: it replaces (it usually wins; the bar stays modest for CI runners).
-MIN_FUSED_SPEEDUP = 0.9
 REQUIRE_SPEEDUP = os.environ.get("REPRO_REQUIRE_KERNEL_SPEEDUP", "1") != "0"
 CORES = os.cpu_count() or 1
 
@@ -77,7 +71,7 @@ def kernels_setup():
     }
     data["f"][rng.integers(0, ROWS, size=200)] = np.nan
     table = Table(data)
-    flood = FloodIndex(GridLayout(DIMS, (10, 8)), kernel="numpy").build(table)
+    flood = FloodIndex(GridLayout(DIMS, (10, 8)), kernel=None).build(table)
     backend = ProcessBackend(flood.table, workers=2)
     yield flood, backend
     backend.shutdown()
@@ -167,8 +161,8 @@ def test_kernel_identity_suite(kernels_setup):
                     assert stats.points_scanned == ref_stats.points_scanned, where
                     assert stats.points_matched == ref_stats.points_matched, where
                     if label == "serial":
-                        assert stats.kernel_tier == tier, where
-    flood.use_kernel("numpy")
+                        assert stats.kernel_tier == (tier or ""), where
+    flood.use_kernel(None)
 
 
 def test_kernel_sweep_and_speedups(kernels_setup):
@@ -178,8 +172,7 @@ def test_kernel_sweep_and_speedups(kernels_setup):
 
     rows = []
     timings: dict[tuple[str, str, float], float] = {}
-    # The classic per-run path (kernel=None) is the regression baseline.
-    for tier in (None,) + TIERS:
+    for tier in TIERS:
         flood.use_kernel(tier)
         for label, index in _variants(flood, process_backend):
             for selectivity in SELECTIVITIES:
@@ -189,7 +182,7 @@ def test_kernel_sweep_and_speedups(kernels_setup):
                 sum_seconds = _best_seconds(
                     lambda: index.query(query, SumVisitor("z"))
                 )
-                name = tier or "classic"
+                name = tier or "columnar"
                 timings[(name, label, selectivity)] = seconds
                 rows.append(
                     {
@@ -200,28 +193,24 @@ def test_kernel_sweep_and_speedups(kernels_setup):
                         "sum_seconds": sum_seconds,
                     }
                 )
-    flood.use_kernel("numpy")
+    flood.use_kernel(None)
 
     print(f"\nkernel sweep ({ROWS} rows, {CORES} cores):")
     for row in rows:
         print(
-            f"  {row['kernel']:>7s} on {row['backend']:>7s} @ "
+            f"  {row['kernel']:>8s} on {row['backend']:>7s} @ "
             f"sel={row['selectivity']:<5}: count {row['count_seconds'] * 1e3:7.2f} ms, "
             f"sum {row['sum_seconds'] * 1e3:7.2f} ms"
         )
 
     low = min(SELECTIVITIES)
-    fused_speedup = (
-        timings[("classic", "serial", low)] / timings[("numpy", "serial", low)]
-    )
-    print(f"  numpy fused over classic per-run (serial, sel={low}): "
-          f"{fused_speedup:.2f}x")
     numba_speedup = None
     if "numba" in TIERS:
         numba_speedup = (
-            timings[("numpy", "serial", low)] / timings[("numba", "serial", low)]
+            timings[("columnar", "serial", low)] / timings[("numba", "serial", low)]
         )
-        print(f"  numba over numpy (serial, sel={low}): {numba_speedup:.2f}x")
+        print(f"  numba over the columnar scan (serial, sel={low}): "
+              f"{numba_speedup:.2f}x")
 
     write_json_result(
         "BENCH_kernels",
@@ -230,23 +219,13 @@ def test_kernel_sweep_and_speedups(kernels_setup):
             "cores": CORES,
             "numba_available": numba_available(),
             "sweep": rows,
-            "numpy_fused_over_classic": fused_speedup,
-            "numba_over_numpy": numba_speedup,
+            "numba_over_columnar": numba_speedup,
         },
     )
 
-    fused_message = (
-        f"numpy fused kernel only {fused_speedup:.2f}x over the classic "
-        f"per-run path (need >= {MIN_FUSED_SPEEDUP}x)"
-    )
-    if REQUIRE_SPEEDUP:
-        assert fused_speedup >= MIN_FUSED_SPEEDUP, fused_message
-    elif fused_speedup < MIN_FUSED_SPEEDUP:
-        print(f"  WARNING (not asserted): {fused_message}")
-
     if numba_speedup is not None:
         numba_message = (
-            f"numba tier only {numba_speedup:.2f}x over numpy on the "
+            f"numba tier only {numba_speedup:.2f}x over the columnar scan on the "
             f"low-selectivity COUNT (need >= {MIN_NUMBA_SPEEDUP}x)"
         )
         if REQUIRE_SPEEDUP:

@@ -12,7 +12,8 @@ Three sweeps over a Fig.7-style TPC-H configuration behind ``FloodServer``
    runners (identity is always enforced).
 2. **Hit-rate × concurrency × queue-depth sweep** — throughput across the
    operating envelope, with retrying clients riding out shed requests.
-   Results are persisted as strict JSON (``results/bench_serving.json``;
+   Results are persisted as strict JSON (``results/BENCH_serving.json``,
+   where CI's artifact glob and ``repro bench-diff`` pick them up;
    non-finite ``scan_overhead`` values become ``null``).
 3. **Overload** — a saturated server (slow engine, small queue depth)
    sheds excess requests with the structured ``overloaded`` reply while
@@ -134,7 +135,7 @@ def test_hot_queries_cached_vs_uncached(serving_setup):
 
 
 # ------------------------------------------- 2. hit × concurrency × depth
-def test_sweep_hit_rate_concurrency_queue_depth(serving_setup, tmp_path):
+def test_sweep_hit_rate_concurrency_queue_depth(serving_setup):
     flood, bundle = serving_setup
     total = 120
     pool = bundle.test + bundle.train
@@ -199,9 +200,7 @@ def test_sweep_hit_rate_concurrency_queue_depth(serving_setup, tmp_path):
             f"{row['max_queue_depth']:5d} {row['queries_per_second']:9.1f} "
             f"{row['cache_hit_rate'] * 100:5.1f} {row['queries_rejected']:5d}"
         )
-    path = write_json_result(
-        "bench_serving", {"rows": ROWS, "sweep": rows}, results_dir=str(tmp_path)
-    )
+    path = write_json_result("BENCH_serving", {"rows": ROWS, "sweep": rows})
     # The result file is strict JSON even when scan_overhead was inf.
     with open(path) as handle:
         def boom(name):

@@ -503,7 +503,7 @@ class VisitorProtocolRule(Rule):
                             "type(self)() cannot construct it",
                             fix_hint="override fresh() to pass the config through",
                         )
-            for method_name in ("visit", "merge"):
+            for method_name in ("visit", "visit_many", "merge"):
                 body = methods.get(method_name)
                 if body is None:
                     continue

@@ -136,11 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     throughput.add_argument(
         "--kernel",
-        choices=["auto", "numba", "numpy"],
+        choices=["auto", "numba"],
         default="auto",
-        help="fused scan-kernel tier: auto (default) compiles with numba "
-        "when installed and falls back to the always-available numpy "
-        "tier; an explicit 'numba' without numba installed is an error",
+        help="compiled scan-kernel tier: auto (default) fuses filter and "
+        "aggregate with numba when installed, else the numpy columnar "
+        "scan answers alone; an explicit 'numba' without numba installed "
+        "is an error",
     )
     throughput.add_argument("--seed", type=int, default=7)
 
@@ -173,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--kernel",
-        choices=["auto", "numba", "numpy"],
+        choices=["auto", "numba"],
         default="auto",
-        help="fused scan-kernel tier (see `throughput`); kernels are "
+        help="compiled scan-kernel tier (see `throughput`); kernels are "
         "pre-warmed at startup so first-call JIT compilation never "
         "lands on the event loop",
     )
@@ -454,7 +455,7 @@ def _cmd_throughput(args) -> int:
             f"({flood.effective_shards} storage shards)"
         )
     flood.use_kernel(args.kernel)
-    print(f"Scan kernels: {kernel_tier} tier")
+    print(f"Scan kernels: {kernel_tier or 'numpy columnar scan'}")
     engine = BatchQueryEngine(flood, workers=args.workers)
     try:
         engine.run(queries[: min(20, len(queries))])  # warmup
@@ -703,7 +704,7 @@ def _cmd_serve(args) -> int:
     # (the loop-safety checker flags warmup_kernels on the loop).
     warm = warmup_kernels(args.kernel)
     print(
-        f"Scan kernels: {warm['tier']} tier "
+        f"Scan kernels: {warm['tier'] or 'numpy columnar scan'} "
         f"(pre-warmed in {warm['seconds'] * 1e3:.0f} ms)"
     )
 

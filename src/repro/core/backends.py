@@ -4,17 +4,20 @@
 runs at shard boundaries; a :class:`ScanBackend` decides what executes the
 per-shard pieces:
 
-- :class:`SerialBackend` — the calling thread, through the exact serial
-  kernel (:meth:`FloodIndex.execute_plan`). The baseline every other
-  backend is held identical to.
+- :class:`SerialBackend` — the calling thread, one shard after another.
+  The baseline every other backend is held identical to.
 - :class:`ThreadBackend` — the process-wide thread pool from
   :func:`repro.core.shard.get_scan_pool` (or an injected executor).
-  The numpy kernels release the GIL, so column decode and residual
-  masking parallelize; *Python-level* visitor work still serializes.
+  numpy releases the GIL, so column gathers and residual masking
+  parallelize; *Python-level* visitor work still serializes.
 - :class:`ProcessBackend` — a persistent pool of worker **processes**,
   each attached (zero-copy, via :mod:`repro.storage.shm`) to the table's
   shared-memory segments in its initializer. CPU-bound visitor work runs
   on real cores; workers ship back compact partial aggregates.
+
+Every backend scans a shard with the same function as the unsharded
+index, :func:`repro.storage.scan.columnar_scan`, given the shard's runs
+and the plan's one residual-check list.
 
 Result shipping uses the **mergeable-visitor protocol**
 (:func:`repro.storage.visitor.is_mergeable`): when the caller's visitor
@@ -40,57 +43,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.errors import BuildError, QueryError
 from repro.query.stats import QueryStats
-from repro.storage.scan import scan_runs
+from repro.storage.kernels import get_kernel
+from repro.storage.scan import columnar_scan
 from repro.storage.shm import SharedMemoryTable, ShmTableHandle
-from repro.storage.visitor import RecordingVisitor, Visitor, is_mergeable
+from repro.storage.visitor import RecordingVisitor, is_mergeable
 
 #: Spec strings accepted by :func:`resolve_backend` (and the CLIs).
 BACKEND_NAMES = ("serial", "thread", "process")
-
-
-def _group_runs_by_code(
-    runs: list[tuple[int, int, int]]
-) -> dict[int, list[tuple[int, int]]]:
-    """Group ``(start, stop, code)`` runs by residual-check code.
-
-    Exactly the grouping :meth:`FloodIndex.execute_plan` performs (dict
-    insertion order = first-appearance order), factored out so worker
-    processes — which have the runs and the resolved bounds but no
-    ``QueryPlan`` — scan in the identical order.
-    """
-    by_code: dict[int, list[tuple[int, int]]] = {}
-    for start, stop, code in runs:
-        by_code.setdefault(code, []).append((start, stop))
-    return by_code
-
-
-def _scan_worker_kernel(
-    table,
-    runs: list[tuple[int, int, int]],
-    bounds_by_code: dict[int, list[tuple[str, int, int]]],
-    visitor: Visitor,
-    kernel=None,
-) -> tuple[int, int, int, int]:
-    """One shard's scan: group by code, run the batched kernel per group.
-
-    ``kernel`` is an optional fused-scan tier
-    (:class:`~repro.storage.kernels.ScanKernel` or spec string) applied
-    to every fusable group. Returns ``(points_scanned, points_matched,
-    exact_points, kernel_groups)``; the visitor accumulates in place.
-    Shared by the process workers and the identity tests.
-    """
-    scanned = matched = exact = 0
-    local = QueryStats()
-    for code, spans in _group_runs_by_code(runs).items():
-        bounds = bounds_by_code[code]
-        got_scanned, got_matched = scan_runs(
-            table, bounds, spans, visitor, kernel=kernel, stats=local
-        )
-        scanned += got_scanned
-        matched += got_matched
-        if not bounds:
-            exact += got_scanned
-    return scanned, matched, exact, local.kernel_groups
 
 
 class ScanBackend(ABC):
@@ -104,8 +63,9 @@ class ScanBackend(ABC):
 
     @abstractmethod
     def scan(self, index, plan, query, visitor, stats, per_shard) -> None:
-        """Scan ``per_shard`` (non-empty run lists in shard order) into
-        ``visitor``, accumulating the scan counters into ``stats``."""
+        """Scan ``per_shard`` (non-empty :class:`~repro.storage.scan.Runs`
+        in shard order) into ``visitor``, accumulating the scan counters
+        into ``stats``."""
 
     def shutdown(self) -> None:
         """Release pools and shared resources (idempotent; optional)."""
@@ -121,10 +81,10 @@ class SerialBackend(ScanBackend):
     name = "serial"
 
     def scan(self, index, plan, query, visitor, stats, per_shard) -> None:
-        from repro.core.index import FloodIndex
-
-        runs = [run for shard_runs in per_shard for run in shard_runs]
-        FloodIndex.execute_plan(index, plan, query, visitor, stats, runs=runs)
+        table, kernel = index.table, index.scan_kernel
+        checks = plan.check_bounds(query)
+        for shard_runs in per_shard:
+            columnar_scan(table, shard_runs, checks, visitor, stats, kernel)
 
 
 class ThreadBackend(ScanBackend):
@@ -156,29 +116,22 @@ class ThreadBackend(ScanBackend):
         return get_scan_pool()
 
     def scan(self, index, plan, query, visitor, stats, per_shard) -> None:
-        from repro.core.index import FloodIndex
-
-        serial_execute = FloodIndex.execute_plan
+        table, kernel = index.table, index.scan_kernel
+        checks = plan.check_bounds(query)
         mergeable = is_mergeable(visitor)
 
         def scan_shard(shard_runs):
             shard_visitor = visitor.fresh() if mergeable else RecordingVisitor()
             local = QueryStats()
-            serial_execute(index, plan, query, shard_visitor, local, runs=shard_runs)
+            columnar_scan(table, shard_runs, checks, shard_visitor, local, kernel)
             return shard_visitor, local
 
-        table = index.table
         for shard_visitor, local in self._pool().map(scan_shard, per_shard):
             if mergeable:
                 visitor.merge(shard_visitor)
             else:
                 shard_visitor.replay(table, visitor)
-            stats.points_scanned += local.points_scanned
-            stats.points_matched += local.points_matched
-            stats.exact_points += local.exact_points
-            stats.kernel_groups += local.kernel_groups
-            if local.kernel_tier:
-                stats.kernel_tier = local.kernel_tier
+            stats.add_scan(local)
 
 
 # ---------------------------------------------------------------- processes
@@ -196,31 +149,26 @@ def _worker_attach(handle: ShmTableHandle) -> None:
 def _worker_scan(task):
     """One shard's scan inside a worker process.
 
-    ``task`` is ``(runs, bounds_by_code, prototype, kernel_tier)`` where
-    ``prototype`` is a fresh mergeable visitor (unpickled here into this
+    ``task`` is ``(runs, checks, prototype, kernel_tier)``: the shard's
+    :class:`~repro.storage.scan.Runs`, the plan's residual checks,
+    ``prototype`` a fresh mergeable visitor (unpickled here into this
     task's private accumulator) or ``None`` for the recording fallback,
-    and ``kernel_tier`` is the parent index's resolved fused-kernel tier
+    and ``kernel_tier`` the parent index's resolved compiled-kernel tier
     (or ``None``) — the tier string crosses the pool boundary, the
     worker resolves its own process-local kernel singleton. Returns
-    ``(payload, scanned, matched, exact, kernel_groups)`` — the payload
-    is the filled visitor (compact partial aggregate) or the recorded
-    visits list.
+    ``(payload, stats)`` — the payload is the filled visitor (compact
+    partial aggregate) or the recorded visits list, ``stats`` the
+    shard's :class:`~repro.query.stats.QueryStats` scan counters.
     """
-    runs, bounds_by_code, prototype, kernel_tier = task
+    runs, checks, prototype, kernel_tier = task
     table = _WORKER_TABLE
     if table is None:  # pool used without its initializer; cannot happen via ProcessBackend
         raise BuildError("scan worker has no attached table")
-    kernel = None
-    if kernel_tier is not None:
-        from repro.storage.kernels import get_kernel
-
-        kernel = get_kernel(kernel_tier)
     visitor = prototype if prototype is not None else RecordingVisitor()
-    scanned, matched, exact, fused = _scan_worker_kernel(
-        table, runs, bounds_by_code, visitor, kernel=kernel
-    )
+    stats = QueryStats()
+    columnar_scan(table, runs, checks, visitor, stats, get_kernel(kernel_tier))
     payload = visitor if prototype is not None else visitor.visits
-    return payload, scanned, matched, exact, fused
+    return payload, stats
 
 
 class ProcessBackend(ScanBackend):
@@ -229,8 +177,8 @@ class ProcessBackend(ScanBackend):
     Setup cost is paid once: the table is copied into shared memory
     (unless it already is one — pass a :class:`SharedMemoryTable` to
     share segments across backends) and each worker process attaches
-    zero-copy views in its pool initializer. Per query, only run lists,
-    resolved residual bounds, and partial aggregates cross the process
+    zero-copy views in its pool initializer. Per query, only run arrays,
+    one residual-check list, and partial aggregates cross the process
     boundary — a few hundred bytes each way for mergeable visitors.
 
     Parameters
@@ -287,33 +235,22 @@ class ProcessBackend(ScanBackend):
 
     def scan(self, index, plan, query, visitor, stats, per_shard) -> None:
         pool = self._ensure_pool()
-        codes = {code for shard_runs in per_shard for _, _, code in shard_runs}
-        bounds_by_code = {
-            code: [(dim, *query.bounds(dim)) for dim in plan.checks_for(code)]
-            for code in codes
-        }
+        checks = plan.check_bounds(query)
         prototype = visitor.fresh() if is_mergeable(visitor) else None
-        kernel_tier = getattr(index, "kernel_tier", None)
-        if kernel_tier is not None:
-            stats.kernel_tier = kernel_tier
+        kernel_tier = index.kernel_tier
         futures = [
-            pool.submit(
-                _worker_scan, (shard_runs, bounds_by_code, prototype, kernel_tier)
-            )
+            pool.submit(_worker_scan, (shard_runs, checks, prototype, kernel_tier))
             for shard_runs in per_shard
         ]
         table = index.table
         for future in futures:  # shard order == storage order, deterministic
-            payload, scanned, matched, exact, fused = future.result()
+            payload, local = future.result()
             if prototype is not None:
                 visitor.merge(payload)
             else:
                 for start, stop, mask in payload:
                     visitor.visit(table, start, stop, mask)
-            stats.points_scanned += scanned
-            stats.points_matched += matched
-            stats.exact_points += exact
-            stats.kernel_groups += fused
+            stats.add_scan(local)
 
     def shutdown(self) -> None:
         """Stop the worker pool and unlink owned shared memory (idempotent)."""

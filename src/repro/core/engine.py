@@ -186,8 +186,8 @@ class BatchQueryEngine:
         worker threads submit to one bounded process pool, so the
         combination cannot oversubscribe unboundedly.
     kernel:
-        Optional fused scan-kernel spec (``'auto'`` / ``'numba'`` /
-        ``'numpy'``) applied to the index via
+        Optional compiled scan-kernel spec (``'auto'`` / ``'numba'``)
+        applied to the index via
         :meth:`FloodIndex.use_kernel`. ``None`` (default) leaves the
         index's own kernel configuration untouched.
     cache_entries:

@@ -14,10 +14,10 @@ Query (Sections 3.2 and 5.2):
 2. **Refinement** -- if the query filters the sort dimension, each cell's
    physical range is narrowed with its PLM (or binary search, for the
    ablation), so scanned sort-dimension values are guaranteed in range.
-3. **Scan** -- each refined range is scanned; only *boundary* columns of
-   filtered grid dimensions need per-point checks (interior columns are
-   exact by monotonicity of the CDF), which is why Flood's time per scanned
-   point is low (Table 2).
+3. **Scan** -- the refined ranges are scanned in one columnar pass; only
+   *boundary* columns of filtered grid dimensions need per-point checks
+   (interior columns are exact by monotonicity of the CDF), which is why
+   Flood's time per scanned point is low (Table 2).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.ml.plm import PiecewiseLinearModel, lockstep_searchsorted
 from repro.query.predicate import Query
 from repro.query.stats import QueryStats
 from repro.storage.kernels import get_kernel, resolve_kernel
-from repro.storage.scan import scan_filtered, scan_runs
+from repro.storage.scan import Runs, columnar_scan, scan_filtered
 from repro.storage.table import Table
 from repro.storage.visitor import Visitor
 
@@ -51,9 +51,9 @@ class QueryPlan:
 
     Produced by :meth:`FloodIndex.plan`; arrays are aligned and restricted to
     non-empty cells in ascending cell-id (= storage) order. ``codes`` packs
-    each cell's per-dimension boundary flags into an integer so cells can be
-    partitioned by residual-check set without building Python tuples per
-    cell; :meth:`checks_for` decodes a code back into dimension names.
+    each cell's per-dimension boundary flags into an integer (bit K-1-k for
+    grid dim k) so the scan can derive residual checks without building
+    Python tuples per cell; :meth:`check_bounds` gives each bit its bounds.
     """
 
     __slots__ = (
@@ -67,7 +67,6 @@ class QueryPlan:
         "refine",
         "sort_low",
         "sort_high",
-        "_checks_cache",
     )
 
     def __init__(
@@ -93,40 +92,39 @@ class QueryPlan:
         self.refine = refine
         self.sort_low = sort_low
         self.sort_high = sort_high
-        self._checks_cache: dict[int, tuple[str, ...]] = {0: base_checks}
 
-    def checks_for(self, code: int) -> tuple[str, ...]:
-        """Residual check dims for a packed boundary code (bit K-1-k = dim k)."""
-        checks = self._checks_cache.get(code)
-        if checks is None:
-            num = len(self.grid_dims)
-            checks = self.base_checks + tuple(
-                self.grid_dims[k]
-                for k in range(num)
-                if (code >> (num - 1 - k)) & 1
-            )
-            self._checks_cache[code] = checks
+    def check_bounds(self, query: Query) -> list[tuple[str, int, int, int]]:
+        """The plan's residual checks as ``(dim, low, high, bit)``.
+
+        Base checks come first with bit 0 (checked on every run), then each
+        filtered grid dim ``k`` in dim order with bit ``1 << (K-1-k)``
+        (checked on runs whose code has it set) — the ``checks`` argument
+        of :func:`~repro.storage.scan.columnar_scan`.
+        """
+        checks = [(dim, *query.bounds(dim), 0) for dim in self.base_checks]
+        last = len(self.grid_dims) - 1
+        for k, dim in enumerate(self.grid_dims):
+            if query.filters(dim) and dim not in self.base_checks:
+                checks.append((dim, *query.bounds(dim), 1 << (last - k)))
         return checks
 
-    def coalesced_runs(self) -> list[tuple[int, int, int]]:
-        """Tasks merged into maximal storage-contiguous runs.
+    def coalesced_runs(self) -> Runs:
+        """Planned cells merged into maximal storage-contiguous runs.
 
-        Consecutive tasks whose physical ranges touch (``stops[i] ==
+        Consecutive cells whose physical ranges touch (``stops[i] ==
         starts[i+1]``, which holds for adjacent cell ids and across empty
         cells) and that share a residual-check code are scanned as one
-        range. Returns ``(start, stop, code)`` triples in storage order.
+        range. Returns :class:`~repro.storage.scan.Runs` in storage order.
         """
         starts, stops, codes = self.starts, self.stops, self.codes
         m = starts.size
-        if m == 0:
-            return []
-        breaks = (starts[1:] != stops[:-1]) | (codes[1:] != codes[:-1])
-        first = np.concatenate(([0], np.nonzero(breaks)[0] + 1))
-        last = np.concatenate((first[1:] - 1, [m - 1]))
-        return [
-            (int(starts[f]), int(stops[l]), int(codes[f]))
-            for f, l in zip(first, last)
-        ]
+        # edge[i]: a run boundary before cell i (edge[m]: after the last).
+        edge = np.ones(m + 1, dtype=bool)
+        if m > 1:
+            np.not_equal(starts[1:], stops[:-1], out=edge[1:m])
+            edge[1:m] |= codes[1:] != codes[:-1]
+        first, last = edge[:m], edge[1:]
+        return Runs(starts[first], stops[last], codes[first])
 
 
 class FloodIndex(BaseIndex):
@@ -148,11 +146,11 @@ class FloodIndex(BaseIndex):
     delta:
         PLM per-segment average error bound (paper default 50).
     kernel:
-        Fused scan-kernel spec: ``'auto'`` (default; numba when
-        installed, else the always-available numpy tier), ``'numba'``,
-        ``'numpy'``, or ``None`` to scan through the classic per-run
-        path only. Resolved eagerly so ``'numba'`` on an install without
-        numba fails here, not mid-query.
+        Compiled scan-kernel spec: ``'auto'`` (default; the numba tier
+        when numba is installed, else the numpy columnar scan alone),
+        ``'numba'``, or ``None`` for the numpy columnar scan alone.
+        Resolved eagerly so ``'numba'`` on an install without numba fails
+        here, not mid-query.
     """
 
     name = "Flood"
@@ -202,18 +200,19 @@ class FloodIndex(BaseIndex):
         self.refinement = refinement
         self.delta = float(delta)
         self._kernel_spec = kernel
-        self._kernel_tier = resolve_kernel(kernel) if kernel is not None else None
+        self._kernel_tier = resolve_kernel(kernel)
         self._scan_kernel = None
 
     # ----------------------------------------------------------------- kernel
     @property
     def kernel_spec(self) -> str | None:
-        """The configured kernel spec (``'auto'``/``'numba'``/``'numpy'``/None)."""
+        """The configured kernel spec (``'auto'``/``'numba'``/None)."""
         return self._kernel_spec
 
     @property
     def kernel_tier(self) -> str | None:
-        """The resolved fused-kernel tier this index scans with (or None)."""
+        """The resolved compiled-kernel tier this index scans with (None:
+        the numpy columnar scan alone)."""
         return self._kernel_tier
 
     @property
@@ -231,13 +230,13 @@ class FloodIndex(BaseIndex):
         return kernel
 
     def use_kernel(self, kernel: str | None) -> str | None:
-        """Swap the fused-kernel tier; returns the previous resolved tier.
+        """Swap the compiled-kernel tier; returns the previous resolved tier.
 
         Accepts the same specs as the constructor; resolution is eager,
         so an unavailable explicit ``'numba'`` fails here with the index
         untouched.
         """
-        tier = resolve_kernel(kernel) if kernel is not None else None
+        tier = resolve_kernel(kernel)
         old = self._kernel_tier
         self._kernel_spec = kernel
         self._kernel_tier = tier
@@ -585,9 +584,9 @@ class FloodIndex(BaseIndex):
         query: Query,
         visitor: Visitor,
         stats: QueryStats,
-        runs: list[tuple[int, int, int]] | None = None,
+        runs: Runs | None = None,
     ) -> None:
-        """Scan a (refined) plan: coalesced runs, grouped by check set.
+        """Scan a (refined) plan's coalesced runs in one columnar pass.
 
         Parameters
         ----------
@@ -601,31 +600,15 @@ class FloodIndex(BaseIndex):
             Mutated in place: ``points_scanned`` / ``points_matched`` /
             ``exact_points`` accumulate over all runs.
         runs:
-            Optional pre-computed ``(start, stop, code)`` runs; defaults to
-            ``plan.coalesced_runs()``. The sharded index passes each shard's
-            run subset through here so per-shard scans reuse this kernel.
+            Optional pre-computed :class:`~repro.storage.scan.Runs`;
+            defaults to ``plan.coalesced_runs()``.
         """
-        table = self.table
         if runs is None:
             runs = plan.coalesced_runs()
-        if not runs:
-            return
-        kernel = self.scan_kernel
-        if kernel is not None:
-            stats.kernel_tier = kernel.tier
-        by_code: dict[int, list[tuple[int, int]]] = {}
-        for start, stop, code in runs:
-            by_code.setdefault(code, []).append((start, stop))
-        for code, spans in by_code.items():
-            checks = plan.checks_for(code)
-            bounds = [(d, *query.bounds(d)) for d in checks]
-            scanned, matched = scan_runs(
-                table, bounds, spans, visitor, kernel=kernel, stats=stats
-            )
-            stats.points_scanned += scanned
-            stats.points_matched += matched
-            if not bounds:
-                stats.exact_points += scanned
+        columnar_scan(
+            self.table, runs, plan.check_bounds(query), visitor, stats,
+            self.scan_kernel,
+        )
 
     def query(
         self, query: Query, visitor: Visitor, enum_cache: dict | None = None

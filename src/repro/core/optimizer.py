@@ -160,9 +160,21 @@ def _descend(
             x = x * (cap / total)
         return x
 
+    costs: dict[tuple[int, ...], float] = {}
+
+    def cost_of(columns):
+        # Rounding maps nearby points (finite-difference probes, polish
+        # moves) onto the same layout: predict each layout once.
+        cost = costs.get(columns)
+        if cost is None:
+            cost = costs[columns] = cost_model.predict_batch(
+                evaluator.features(order, columns)
+            )
+        return cost
+
     def cost_at(x):
         columns = tuple(max(1, int(round(2**v))) for v in x)
-        return cost_model.predict_batch(evaluator.features(order, columns)), columns
+        return cost_of(columns), columns
 
     x = project(np.log2(np.maximum(init_columns, 1)).astype(np.float64))
     best_cost, best_columns = cost_at(x)
@@ -206,9 +218,7 @@ def _descend(
                 # trial layout slip under the cell cap.
                 if math.prod(trial) > max_cells:
                     continue
-                cost = cost_model.predict_batch(
-                    evaluator.features(order, tuple(trial))
-                )
+                cost = cost_of(tuple(trial))
                 if cost < best_cost:
                     best_cost = cost
                     best_columns = trial

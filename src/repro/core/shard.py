@@ -11,7 +11,7 @@ scan, which dominates large queries (paper Table 2), is what shards.
 
 *Where* the per-shard pieces execute is pluggable
 (:mod:`repro.core.backends`): the default :class:`ThreadBackend` uses the
-process-wide thread pool below (numpy kernels release the GIL), while
+process-wide thread pool below (numpy releases the GIL), while
 :class:`ProcessBackend` runs shards on worker processes attached
 zero-copy to the table's shared-memory segments — real cores even for
 CPU-bound, GIL-holding visitor work. Mergeable visitors
@@ -35,12 +35,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.backends import ScanBackend, SerialBackend, resolve_backend
+from repro.core.backends import ScanBackend, resolve_backend
 from repro.core.index import FloodIndex, QueryPlan
 from repro.errors import BuildError
 from repro.query.predicate import Query
 from repro.query.stats import QueryStats
-from repro.storage.scan import split_runs
+from repro.storage.scan import Runs, split_runs
 from repro.storage.table import Table
 from repro.storage.visitor import Visitor
 
@@ -254,32 +254,26 @@ class ShardedFloodIndex(FloodIndex):
         query: Query,
         visitor: Visitor,
         stats: QueryStats,
-        runs: list[tuple[int, int, int]] | None = None,
+        runs: Runs | None = None,
     ) -> None:
         """Scan a (refined) plan with per-shard fan-out on the backend.
 
-        Small plans (fewer than ``min_parallel_points`` planned points),
-        single-shard tables, and the serial backend fall through to the
-        serial kernel; otherwise the runs are split at shard boundaries
-        and handed to :attr:`scan_backend`, which merges partial
-        aggregates (mergeable visitors) or replays recorded visits in
-        shard order.
+        Small plans (fewer than ``min_parallel_points`` planned points)
+        and single-shard tables fall through to the unsharded scan;
+        otherwise the runs are split at shard boundaries and handed to
+        :attr:`scan_backend`, which merges partial aggregates (mergeable
+        visitors) or replays recorded visits in shard order.
         """
         if runs is None:
             runs = plan.coalesced_runs()
-        if not runs:
+        if not len(runs):
             return
         bounds = self._shard_bounds
-        planned_points = sum(stop - start for start, stop, _ in runs)
-        if bounds.size - 1 <= 1 or planned_points < self.min_parallel_points:
+        if bounds.size - 1 <= 1 or runs.points < self.min_parallel_points:
             super().execute_plan(plan, query, visitor, stats, runs=runs)
             return
-        backend = self.scan_backend
-        if isinstance(backend, SerialBackend):
-            super().execute_plan(plan, query, visitor, stats, runs=runs)
-            return
-        per_shard = [rs for rs in split_runs(runs, bounds) if rs]
+        per_shard = [rs for rs in split_runs(runs, bounds) if len(rs)]
         if len(per_shard) <= 1:
             super().execute_plan(plan, query, visitor, stats, runs=runs)
             return
-        backend.scan(self, plan, query, visitor, stats, per_shard)
+        self.scan_backend.scan(self, plan, query, visitor, stats, per_shard)

@@ -23,14 +23,24 @@ class QueryStats:
     refine_time: float = 0.0
     scan_time: float = 0.0
     total_time: float = 0.0
-    #: Resolved fused-kernel tier the scan ran with ("numba" / "numpy";
-    #: "" when the index scans kernel-less). Flat fields, not a nested
+    #: Resolved compiled-kernel tier the scan ran with ("numba"; "" when
+    #: the numpy columnar scan answered alone). Flat fields, not a nested
     #: dict: QueryStats is shallow-copied (``replace``) by the serving
     #: cache and ``asdict``'d onto the wire.
     kernel_tier: str = ""
-    #: Residual-filter code groups answered by the fused single-pass
-    #: kernel (the rest took the classic per-run path).
+    #: Columnar scan passes (one per query, or per shard when sharded)
+    #: whose filtered rows the compiled kernel checked and aggregated in
+    #: one fused loop; the other passes used numpy masks.
     kernel_groups: int = 0
+
+    def add_scan(self, other: "QueryStats") -> None:
+        """Fold another partial scan's counters (one shard's) into these."""
+        self.points_scanned += other.points_scanned
+        self.points_matched += other.points_matched
+        self.exact_points += other.exact_points
+        self.kernel_groups += other.kernel_groups
+        if other.kernel_tier:
+            self.kernel_tier = other.kernel_tier
 
     @property
     def scan_overhead(self) -> float:

@@ -766,7 +766,7 @@ def run_fleet(args, flood, cost_model) -> int:
         server.mutable.on_commit = runtime.publish
     warm = warmup_kernels(args.kernel)
     print(
-        f"Scan kernels: {warm['tier']} tier "
+        f"Scan kernels: {warm['tier'] or 'numpy columnar scan'} "
         f"(pre-warmed in {warm['seconds'] * 1e3:.0f} ms)"
     )
     generation, handle = runtime.create_initial_publication()

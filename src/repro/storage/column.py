@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 BLOCK_SIZE = 128
+_BLOCK_SHIFT = BLOCK_SIZE.bit_length() - 1  # i >> _BLOCK_SHIFT == i // BLOCK_SIZE
 
 _DELTA_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
@@ -92,7 +93,12 @@ class CompressedColumn:
     def take(self, indices: np.ndarray) -> np.ndarray:
         """Decode values at arbitrary positions (gather)."""
         indices = np.asarray(indices, dtype=np.int64)
-        return self._mins[indices // BLOCK_SIZE] + self._deltas[indices].astype(np.int64)
+        deltas = self._deltas[indices]
+        if deltas.dtype == np.uint64:
+            # int64 + uint64 promotes to float64; narrower deltas widen to
+            # int64 inside the add without a separate copy.
+            deltas = deltas.astype(np.int64)
+        return self._mins[indices >> _BLOCK_SHIFT] + deltas
 
     # ------------------------------------------------------------------- size
     def size_bytes(self) -> int:

@@ -1,39 +1,29 @@
-"""Fused scan kernels: residual filter + aggregate in one pass.
+"""Compiled scan kernels: residual filter + aggregate in one pass.
 
-The per-run scan path (:func:`repro.storage.scan.scan_runs`) pays numpy
-temporaries and Python-level visitor dispatch on every run: build a
-boolean residual mask, slice it per run, gather matching rows, then feed
-a visitor method call per run. For the aggregates that dominate the
-paper's workloads (COUNT/SUM/AVG/MIN/MAX, plus row collection) the whole
-batch of coalesced runs sharing one residual filter can instead be
-answered in a *single fused pass*: decode each filter dimension once
-across all runs, check bounds and fold the aggregate in the same loop,
-and touch the visitor exactly once with the finished partial.
+Flood's columnar scan (:func:`repro.storage.scan.columnar_scan`) decodes
+a pass's filtered rows once per residual dim, builds one boolean mask
+and hands the batch to the visitor. For the aggregates that dominate the
+paper's workloads (COUNT/SUM/AVG/MIN/MAX, plus row collection) the
+optional ``numba`` tier replaces the mask and the fold with one compiled
+loop over the decoded values: ``@numba.njit(nogil=True, cache=True)``
+loops compiled per dtype signature. ``nogil`` lets the thread backend's
+shard scans run outside the GIL. numba is **never** a hard dependency; it
+is an extras tag (``pip install repro[kernels]``) resolved at import
+time. Without it, ``'auto'`` resolves to no tier and the numpy columnar
+scan answers alone.
 
-Two implementations live behind one dispatch API:
-
-- ``numba`` — ``@numba.njit(nogil=True, cache=True)`` loops compiled per
-  dtype signature. ``nogil`` means the thread backend finally scales:
-  shard scans spend their time outside the GIL even for the Python-heavy
-  visitor shapes. numba is **never** a hard dependency; it is an extras
-  tag (``pip install repro[kernels]``) resolved at import time.
-- ``numpy`` — a vectorized fallback that is always present and always
-  tested. It computes aggregates directly from the combined mask
-  (``where=`` reductions) without materializing ``values[mask]`` row
-  copies.
-
-Dispatch rules (:meth:`ScanKernel.fused_scan`): the fused path fires only
-for the exact built-in mergeable visitor types (subclasses fall back —
-they may override ``visit``), only for int64/float64 columns, and only
-when the residual filter is non-empty (exact runs keep the cumulative
-fast path). Anything else returns ``None`` and the caller runs the
-classic per-run path — the fallback guarantee is structural, not a mode.
+Dispatch rules (:func:`fused_kind`): the compiled path fires only for the
+exact built-in mergeable visitor types (subclasses fall back — they may
+override ``visit``), only for int64/float64 columns, and only when the
+residual filter is non-empty (exact runs keep the cumulative fast path).
+Anything else declines and the columnar scan answers — the fallback
+guarantee is structural, not a mode.
 
 Float caveat: SUM/AVG over float64 accumulate in a different order per
-tier (numpy pairwise vs. one sequential loop), so float sums agree to
+path (numpy pairwise vs. one sequential loop), so float sums agree to
 ~1e-9 relative tolerance rather than bit-for-bit; COUNT/MIN/MAX/collect
-and all-int64 aggregates are bit-identical across tiers. MIN/MAX over a
-match set containing NaN is NaN in every tier (numpy semantics).
+and all-int64 aggregates are bit-identical. MIN/MAX over a match set
+containing NaN is NaN on every path (numpy semantics).
 """
 
 from __future__ import annotations
@@ -44,9 +34,6 @@ import time
 import numpy as np
 
 from repro.errors import QueryError
-# One source of truth for the gather-vs-slice decode heuristic (scan.py
-# imports this module lazily, so there is no import cycle).
-from repro.storage.scan import _GATHER_MAX_RUN, _GATHER_MIN_RUNS
 from repro.storage.visitor import (
     AvgVisitor,
     CollectVisitor,
@@ -59,9 +46,9 @@ from repro.storage.visitor import (
 )
 
 #: Spec strings accepted by :func:`resolve_kernel` (and the CLIs).
-KERNEL_NAMES = ("auto", "numba", "numpy")
+KERNEL_NAMES = ("auto", "numba")
 
-try:  # soft dependency: the numpy tier must work without numba installed
+try:  # soft dependency: the columnar scan must work without numba installed
     from numba import njit as _njit
 
     _HAVE_NUMBA = True
@@ -74,27 +61,28 @@ def numba_available() -> bool:
     return _HAVE_NUMBA
 
 
-def resolve_kernel(spec: str) -> str:
-    """Resolve a kernel spec to a concrete tier name.
+def resolve_kernel(spec: str | None) -> str | None:
+    """Resolve a kernel spec to a concrete tier name, or None for the
+    numpy columnar scan alone.
 
-    ``'auto'`` picks ``'numba'`` when numba imports, else ``'numpy'``.
-    An explicit ``'numba'`` on an install without numba is a
+    ``'auto'`` picks ``'numba'`` when numba imports, else None; ``None``
+    stays None. An explicit ``'numba'`` on an install without numba is a
     :class:`~repro.errors.QueryError` — silently degrading a tier the
     caller asked for by name would hide a 2x+ perf regression.
     """
+    if spec is None:
+        return None
     if spec not in KERNEL_NAMES:
         raise QueryError(
             f"unknown scan kernel {spec!r}; use one of {KERNEL_NAMES}"
         )
-    if spec == "auto":
-        return "numba" if _HAVE_NUMBA else "numpy"
     if spec == "numba" and not _HAVE_NUMBA:
         raise QueryError(
             "the numba kernel tier needs numba installed "
-            "(pip install repro[kernels]); use --kernel auto for the "
-            "always-available numpy fallback"
+            "(pip install repro[kernels]); use --kernel auto to scan "
+            "without it"
         )
-    return spec
+    return "numba" if _HAVE_NUMBA else None
 
 
 # ------------------------------------------------------------- numba tier
@@ -235,9 +223,6 @@ if _HAVE_NUMBA:
         return matched
 
 
-_INT64_MAX = np.iinfo(np.int64).max
-_INT64_MIN = np.iinfo(np.int64).min
-
 #: Fused aggregate kind per *exact* visitor type. Subclasses deliberately
 #: miss: they may override ``visit`` and must see every call.
 _FUSED_KINDS = {
@@ -252,21 +237,42 @@ _FUSED_KINDS = {
 _SUPPORTED_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
-class ScanKernel:
-    """One tier's fused-scan entry point plus usage counters.
+def fused_kind(table, bounds, visitor) -> str | None:
+    """The compiled aggregate that can answer ``visitor`` over ``bounds``
+    (``'count'``, ``'sum'``, ...), or None when the columnar scan must.
 
-    Instances are process-wide singletons per tier (:func:`get_kernel`);
-    the counters feed the server's ``kernel`` stats block. Counter
-    updates are locked — the thread backend drives one kernel from many
-    shard workers at once.
+    Declines non-built-in visitors (subclasses included), empty filters,
+    a missing aggregate dim (the visitor raises as it would anyway) and
+    any column that is not int64/float64 (probed on one row).
+    """
+    kind = _FUSED_KINDS.get(type(visitor))
+    if kind is None or not bounds:
+        return None
+    dims = [dim for dim, _, _ in bounds]
+    if kind not in ("count", "collect"):
+        if visitor.dim not in table:
+            return None
+        dims.append(visitor.dim)
+    for dim in dims:
+        if table.values(dim, 0, 1).dtype not in _SUPPORTED_DTYPES:
+            return None
+    return kind
+
+
+class ScanKernel:
+    """The compiled tier's fused-scan entry point plus usage counters.
+
+    One process-wide instance (:func:`get_kernel`); the counters feed the
+    server's ``kernel`` stats block. Counter updates are locked — the
+    thread backend drives one kernel from many shard workers at once.
     """
 
     __slots__ = ("tier", "fused_groups", "fused_rows", "_lock")
 
     def __init__(self, tier: str):
-        if tier not in ("numba", "numpy"):
+        if tier != "numba":
             raise QueryError(f"unknown resolved kernel tier {tier!r}")
-        if tier == "numba" and not _HAVE_NUMBA:
+        if not _HAVE_NUMBA:
             raise QueryError("numba kernel tier constructed without numba")
         self.tier = tier
         self.fused_groups = 0
@@ -289,121 +295,28 @@ class ScanKernel:
             self.fused_rows += rows
 
     # ------------------------------------------------------------ dispatch
-    def fused_scan(self, table, bounds, runs, visitor):
-        """Answer one code group's runs in fused filter+aggregate passes.
+    def fused_scan(self, batch, bounds, visitor) -> int | None:
+        """Check ``batch.rows`` against ``bounds`` and fold the matches
+        into ``visitor`` in one compiled pass.
 
-        Returns ``(points_scanned, points_matched)`` with the visitor
-        already fed the finished partial aggregate, or ``None`` when the
-        combination is not fusable (caller falls back to the classic
-        per-run path). ``bounds`` must be non-empty — exact runs are the
-        cumulative-aggregate path's business, not ours.
-
-        Decode strategy mirrors ``scan_runs``: many short runs are
-        gathered into one batch (one ``take`` per dimension), while few
-        or long runs decode as contiguous per-run slices — a gather over
-        long runs costs more than the slice decodes it replaces. Either
-        way the filter and the aggregate fuse: no ``values[mask]`` row
-        copies, no per-run visitor dispatch.
+        ``batch`` is the columnar scan's :class:`~repro.storage.scan.ScanBatch`
+        and ``bounds`` the union of its runs' residual checks. Returns the
+        match count, or None (visitor untouched) when :func:`fused_kind`
+        declines.
         """
-        kind = _FUSED_KINDS.get(type(visitor))
-        if kind is None or not bounds:
+        kind = fused_kind(batch.table, bounds, visitor)
+        if kind is None:
             return None
-        agg_dim = None
-        if kind in ("sum", "avg", "min", "max"):
-            agg_dim = visitor.dim
-            if agg_dim not in table:
-                return None  # let the visitor raise exactly as before
-        runs = [(start, stop) for start, stop in runs if stop > start]
-        if not runs:
-            return 0, 0
-        # One-row dtype probe per column, before any visitor mutation:
-        # unsupported dtypes must decline with the visitor untouched.
-        probe = runs[0][0]
-        dims = [dim for dim, _, _ in bounds]
-        if agg_dim is not None:
-            dims.append(agg_dim)
-        for dim in dims:
-            if table.values(dim, probe, probe + 1).dtype not in _SUPPORTED_DTYPES:
-                return None
-        lengths = [stop - start for start, stop in runs]
-        total = sum(lengths)
-        gather = (
-            len(runs) >= _GATHER_MIN_RUNS
-            and total <= len(runs) * _GATHER_MAX_RUN
+        filters = [(batch.values(dim), low, high) for dim, low, high in bounds]
+        agg_values = (
+            None if kind in ("count", "collect") else batch.values(visitor.dim)
         )
-        matched = 0
-        if gather and len(runs) > 1:
-            starts = np.array([start for start, _ in runs], dtype=np.int64)
-            lengths = np.asarray(lengths, dtype=np.int64)
-            offsets = np.cumsum(lengths) - lengths
-            indices = np.repeat(starts - offsets, lengths)
-            indices += np.arange(total, dtype=np.int64)
-            matched = self._scan_batch(
-                table, bounds, agg_dim, kind, visitor, 0, total, indices
-            )
-        else:
-            for start, stop in runs:
-                matched += self._scan_batch(
-                    table, bounds, agg_dim, kind, visitor, start, stop, None
-                )
-        self._count_fused(total)
-        return total, matched
-
-    def _scan_batch(self, table, bounds, agg_dim, kind, visitor, start, stop, indices):
-        """Fused filter+aggregate over one contiguous slice (``indices``
-        None) or one gathered batch; returns the batch's match count."""
-        if indices is None:
-            def column(dim):
-                return table.values(dim, start, stop)
-        else:
-            def column(dim):
-                return table.take(dim, indices)
-
-        filters = [(column(dim), low, high) for dim, low, high in bounds]
-        agg_values = column(agg_dim) if agg_dim is not None else None
-        if self.tier == "numba":
-            return self._run_numba(
-                filters, agg_values, stop - start, kind, visitor, start, indices
-            )
-        return self._run_numpy(filters, agg_values, kind, visitor, start, indices)
-
-    # ---------------------------------------------------------- numpy tier
-    def _run_numpy(self, filters, agg_values, kind, visitor, start, indices):
-        mask = None
-        for values, low, high in filters:
-            dim_mask = (values >= low) & (values <= high)
-            mask = dim_mask if mask is None else (mask & dim_mask)
-        matched = int(np.count_nonzero(mask))
-        if kind == "count":
-            visitor.count += matched
-        elif kind == "sum":
-            if matched:
-                visitor.total += _masked_sum(agg_values, mask)
-        elif kind == "avg":
-            if matched:
-                visitor._sum.total += _masked_sum(agg_values, mask)
-            visitor._count.count += matched
-        elif kind == "min":
-            if matched:
-                initial = np.inf if agg_values.dtype.kind == "f" else _INT64_MAX
-                local = np.min(agg_values, where=mask, initial=initial).item()
-                visitor._min = fold_min(visitor._min, local)
-        elif kind == "max":
-            if matched:
-                initial = -np.inf if agg_values.dtype.kind == "f" else _INT64_MIN
-                local = np.max(agg_values, where=mask, initial=initial).item()
-                visitor._max = fold_max(visitor._max, local)
-        else:  # collect
-            if matched:
-                if indices is None:
-                    ids = np.nonzero(mask)[0] + start
-                else:
-                    ids = indices[mask]
-                visitor._chunks.append(ids)
+        matched = self._run_numba(filters, agg_values, batch, kind, visitor)
+        self._count_fused(batch.size)
         return matched
 
-    # ---------------------------------------------------------- numba tier
-    def _run_numba(self, filters, agg_values, total, kind, visitor, start, indices):
+    def _run_numba(self, filters, agg_values, batch, kind, visitor):
+        total = batch.size
         int_rows, int_lo, int_hi = [], [], []
         flt_rows, flt_lo, flt_hi = [], [], []
         for values, low, high in filters:
@@ -474,18 +387,8 @@ class ScanKernel:
             out = np.empty(total, dtype=np.int64)
             matched = int(_nb_select(ivals, ilo, ihi, fvals, flo, fhi, out))
             if matched:
-                positions = out[:matched]
-                if indices is None:
-                    ids = positions + start
-                else:
-                    ids = indices[positions]
-                visitor._chunks.append(ids)
+                visitor._chunks.append(batch.rows[out[:matched]])
         return matched
-
-
-def _masked_sum(values: np.ndarray, mask: np.ndarray):
-    """SUM over the masked rows without gathering ``values[mask]``."""
-    return np.sum(values, where=mask, dtype=values.dtype).item()
 
 
 # ------------------------------------------------------------- singletons
@@ -496,14 +399,17 @@ _KERNELS_LOCK = threading.Lock()
 _WARMUP = {"tier": None, "seconds": 0.0}
 
 
-def get_kernel(spec: str) -> ScanKernel:
-    """The process-wide :class:`ScanKernel` singleton for ``spec``.
+def get_kernel(spec: str | None) -> ScanKernel | None:
+    """The process-wide :class:`ScanKernel` singleton for ``spec`` (None
+    when the spec resolves to the numpy columnar scan alone).
 
-    Sharing one instance per tier keeps the usage counters global and —
-    for numba — shares the compiled dispatch cache across every index
-    and backend in the process.
+    Sharing one instance per tier keeps the usage counters global and
+    shares the compiled dispatch cache across every index and backend in
+    the process.
     """
     tier = resolve_kernel(spec)
+    if tier is None:
+        return None
     with _KERNELS_LOCK:
         kernel = _KERNELS.get(tier)
         if kernel is None:
@@ -517,8 +423,9 @@ def warmup_kernels(kernel: str = "auto") -> dict:
     numba compiles lazily on first call — seconds of JIT work that must
     never land on a serving event loop (the loop-safety checker flags
     calls reachable from coroutines). ``repro serve`` calls this once at
-    startup, before binding the socket. The numpy tier has nothing to
-    compile; warm-up is a no-op that still records the resolved tier.
+    startup, before binding the socket. Without a compiled tier there is
+    nothing to compile; warm-up is a no-op that still records the
+    resolved tier (None).
 
     Returns ``{"tier": ..., "seconds": ...}`` (also surfaced in the
     server's ``kernel`` stats block).
@@ -550,7 +457,7 @@ def stats_payload(tier: str | None = None) -> dict:
     """The ``kernel`` observability block (server stats op).
 
     ``tier`` is the serving index's resolved tier (``None`` when the
-    index runs kernel-less). Per-tier counters cover every kernel used
+    numpy columnar scan answers alone). Per-tier counters cover every kernel used
     in this process — with the process scan backend, worker-side fusions
     count in the workers, so the per-query truth is
     ``QueryStats.kernel_groups``, not these process-local totals.

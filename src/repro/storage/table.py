@@ -128,13 +128,17 @@ class Table:
     def has_cumulative(self, name: str) -> bool:
         return name in self._cumulative
 
-    def cumulative_sum(self, name: str, start: int, stop: int):
+    def cumulative_sum(self, name: str, start, stop):
         """SUM(name) over rows [start, stop) from the prefix column
-        (python int for integer columns, float for float columns)."""
+        (python int for integer columns, float for float columns).
+
+        ``start``/``stop`` may also be aligned arrays of ranges; the result
+        is then the SUM over all of them.
+        """
         prefix = self._cumulative.get(name)
         if prefix is None:
             raise SchemaError(f"no cumulative column for {name!r}")
-        return (prefix[stop] - prefix[start]).item()
+        return (prefix[stop] - prefix[start]).sum().item()
 
     # ------------------------------------------------------------------- size
     def size_bytes(self) -> int:

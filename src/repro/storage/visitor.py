@@ -7,6 +7,13 @@ every row matches the filter, enabling the paper's exact-range
 optimizations — skipping per-value checks and, for SUM/COUNT, answering
 from cumulative-aggregate columns without touching the data at all).
 
+Flood's columnar scan (:func:`repro.storage.scan.columnar_scan`) feeds
+a visitor one whole pass at a time through :meth:`Visitor.visit_many`.
+The built-in aggregates fold the batch at once; the default replays one
+``visit`` per run in storage order, so any visitor that only implements
+``visit`` keeps working — and a subclass overriding ``visit`` gets that
+replaying default back, so it still sees every run.
+
 Parallel scans add a second contract, the **mergeable-visitor protocol**:
 a visitor that implements both :meth:`Visitor.fresh` (a new empty visitor
 of the same configuration) and :meth:`Visitor.merge` (fold another
@@ -69,9 +76,28 @@ def is_mergeable(visitor: "Visitor") -> bool:
 class Visitor(ABC):
     """Accumulates an aggregate over the rows fed to :meth:`visit`."""
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A batched fold inherited from a built-in would bypass an
+        # overridden visit(): such subclasses replay per run instead.
+        if "visit" in cls.__dict__ and "visit_many" not in cls.__dict__:
+            cls.visit_many = Visitor.visit_many
+
     @abstractmethod
     def visit(self, table, start: int, stop: int, mask: np.ndarray | None) -> None:
         """Consume rows ``[start, stop)``; ``mask`` selects matches (None = all)."""
+
+    def visit_many(self, batch) -> None:
+        """Consume one columnar scan pass (a
+        :class:`~repro.storage.scan.ScanBatch`).
+
+        The default replays :meth:`visit` once per run in storage order:
+        exact runs with ``mask=None``, filtered runs with their slice of
+        the batch mask, runs without a match skipped.
+        """
+        table = batch.table
+        for start, stop, mask in batch.visits():
+            self.visit(table, start, stop, mask)
 
     @property
     @abstractmethod
@@ -144,6 +170,9 @@ class CountVisitor(Visitor):
         else:
             self.count += int(np.count_nonzero(mask))
 
+    def visit_many(self, batch):
+        self.count += batch.matched
+
     def fresh(self) -> "CountVisitor":
         return type(self)()
 
@@ -186,6 +215,24 @@ class SumVisitor(Visitor):
             values = table.values(self.dim, start, stop)
             self.total += values[mask].sum().item()
 
+    def visit_many(self, batch):
+        table = batch.table
+        if (
+            batch.exact_points
+            and self.use_cumulative
+            and table.has_cumulative(self.dim)
+        ):
+            # Exact runs: one vectorized difference of the prefix sums.
+            self.total += table.cumulative_sum(
+                self.dim, batch.exact_starts, batch.exact_stops
+            )
+            self.cumulative_hits += batch.exact_starts.size
+            parts = [batch.values(self.dim)[batch.mask]] if batch.hits else []
+        else:
+            parts = batch.matching_values(self.dim)
+        for values in parts:
+            self.total += values.sum().item()
+
     def fresh(self) -> "SumVisitor":
         return type(self)(self.dim, self.use_cumulative)
 
@@ -213,6 +260,10 @@ class AvgVisitor(Visitor):
     def visit(self, table, start, stop, mask):
         self._sum.visit(table, start, stop, mask)
         self._count.visit(table, start, stop, mask)
+
+    def visit_many(self, batch):
+        self._sum.visit_many(batch)
+        self._count.visit_many(batch)
 
     def fresh(self) -> "AvgVisitor":
         return type(self)(self.dim)
@@ -246,6 +297,10 @@ class MinVisitor(Visitor):
             local = values.min().item()  # dtype-preserving (no int truncation)
             self._min = fold_min(self._min, local)
 
+    def visit_many(self, batch):
+        for values in batch.matching_values(self.dim):
+            self._min = fold_min(self._min, values.min().item())
+
     def fresh(self) -> "MinVisitor":
         return type(self)(self.dim)
 
@@ -275,6 +330,10 @@ class MaxVisitor(Visitor):
         if values.size:
             local = values.max().item()  # dtype-preserving (no int truncation)
             self._max = fold_max(self._max, local)
+
+    def visit_many(self, batch):
+        for values in batch.matching_values(self.dim):
+            self._max = fold_max(self._max, values.max().item())
 
     def fresh(self) -> "MaxVisitor":
         return type(self)(self.dim)
@@ -328,9 +387,10 @@ class RecordingVisitor(Visitor):
 class CollectVisitor(Visitor):
     """Collects the physical row ids of matching rows.
 
-    The result is sorted per visited range; across ranges the order follows
-    visit order. Used heavily by the correctness tests to compare indexes
-    against brute force (compare as sets or after sorting).
+    The result is ascending per visited range and per batch; across them
+    the order follows visit order. Used heavily by the correctness tests
+    to compare indexes against brute force (compare as sets or after
+    sorting).
     """
 
     def __init__(self):
@@ -344,6 +404,9 @@ class CollectVisitor(Visitor):
             self._chunks.append(np.arange(start, stop, dtype=np.int64))
         else:
             self._chunks.append(np.nonzero(mask)[0].astype(np.int64) + start)
+
+    def visit_many(self, batch):
+        self._chunks.append(batch.matching_rows())
 
     def fresh(self) -> "CollectVisitor":
         return type(self)()

@@ -7,6 +7,8 @@ visitors (partial-aggregate shipping) and arbitrary ones (recording
 fallback) alike.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,11 @@ from repro.errors import QueryError
 from repro.query.predicate import Query
 from repro.storage.shm import SharedMemoryTable, owned_segment_names
 from repro.storage.visitor import (
+    AvgVisitor,
     CollectVisitor,
     CountVisitor,
+    MaxVisitor,
+    MinVisitor,
     SumVisitor,
     Visitor,
 )
@@ -39,7 +44,8 @@ DIMS = ("x", "y", "z")
 
 @pytest.fixture(scope="module")
 def flood():
-    table = make_table(n=6000, dims=DIMS, seed=11)
+    # "u" is filterable but not indexed: a residual check on every run.
+    table = make_table(n=6000, dims=DIMS + ("u",), seed=11)
     return FloodIndex(GridLayout(DIMS, (6, 5))).build(table)
 
 
@@ -85,19 +91,48 @@ class _TupleVisitor(Visitor):
         return self.spans
 
 
+#: Every built-in aggregate plus the non-mergeable custom visitor.
+VISITORS = [
+    CountVisitor,
+    partial(SumVisitor, "y"),
+    partial(AvgVisitor, "y"),
+    partial(MinVisitor, "y"),
+    partial(MaxVisitor, "y"),
+    CollectVisitor,
+    _TupleVisitor,
+]
+
+
+def _comparable(result):
+    if isinstance(result, np.ndarray):
+        return sorted(result.tolist())
+    if isinstance(result, list):  # _TupleVisitor spans: compare match totals
+        return sum(count for _, _, count in result)
+    return result
+
+
 class TestIdentity:
     @pytest.mark.parametrize("spec", BACKEND_NAMES)
     def test_counts_and_stats_match_percell(self, flood, process_backend, spec):
+        """Random queries (mixed residual codes, runs split at shard
+        boundaries) plus one per scan branch: all-exact, an unindexed
+        filter, and a sort-dim range that refines to an empty plan."""
         backend = process_backend if spec == "process" else spec
         sharded = _sharded(flood, backend)
-        for query in _queries(flood, 12, seed=spec == "serial" and 1 or 2):
-            fast, slow = CountVisitor(), CountVisitor()
-            s_fast = sharded.query(query, fast)
-            s_slow = flood.query_percell(query, slow)
-            assert fast.result == slow.result
-            assert s_fast.points_scanned == s_slow.points_scanned
-            assert s_fast.points_matched == s_slow.points_matched
-            assert s_fast.exact_points == s_slow.exact_points
+        queries = _queries(flood, 12, seed=spec == "serial" and 1 or 2) + [
+            Query({"x": flood.table.min_max("x")}),
+            Query({"x": (100, 900), "u": (200, 700)}),
+            Query({"y": (0, 999), "z": (5000, 6000)}),
+        ]
+        for query in queries:
+            for make in VISITORS:
+                fast, slow = make(), make()
+                s_fast = sharded.query(query, fast)
+                s_slow = flood.query_percell(query, slow)
+                assert _comparable(fast.result) == _comparable(slow.result)
+                assert s_fast.points_scanned == s_slow.points_scanned
+                assert s_fast.points_matched == s_slow.points_matched
+                assert s_fast.exact_points == s_slow.exact_points
 
     @pytest.mark.parametrize("spec", BACKEND_NAMES)
     def test_sum_and_collect_match(self, flood, process_backend, spec):
@@ -161,21 +196,24 @@ class TestIdentity:
 
     def test_cumulative_fast_path_survives_process_hop(self, flood):
         """Workers see the shared cumulative column, so exact-range SUMs
-        stay O(1) on the far side of the pool."""
+        stay O(1) on the far side of the pool (and on every other
+        backend)."""
         table = make_table(n=5000, dims=DIMS, seed=12)
         index = FloodIndex(GridLayout(DIMS, (6, 5))).build(table)
         index.table.add_cumulative("y")
         backend = ProcessBackend(index.table, workers=2)
         try:
-            sharded = ShardedFloodIndex.wrap(
-                index, num_shards=4, min_parallel_points=0, backend=backend
-            )
-            query = Query({"x": table.min_max("x")})  # whole domain: exact runs
-            fast, slow = SumVisitor("y"), SumVisitor("y")
-            sharded.query(query, fast)
-            index.query_percell(query, slow)
-            assert fast.result == slow.result
-            assert fast.cumulative_hits > 0
+            for spec in ("serial", "thread", backend):
+                sharded = ShardedFloodIndex.wrap(
+                    index, num_shards=4, min_parallel_points=0, backend=spec
+                )
+                query = Query({"x": table.min_max("x")})  # whole domain: exact runs
+                fast, slow = SumVisitor("y"), SumVisitor("y")
+                stats = sharded.query(query, fast)
+                index.query_percell(query, slow)
+                assert fast.result == slow.result
+                assert fast.cumulative_hits > 0
+                assert stats.exact_points == stats.points_scanned == table.num_rows
         finally:
             backend.shutdown()
 

@@ -14,11 +14,19 @@ from repro.core.index import FloodIndex
 from repro.core.layout import GridLayout
 from repro.errors import BuildError, QueryError
 from repro.query.predicate import Query
-from repro.storage.scan import scan_filtered, scan_runs
+from repro.query.stats import QueryStats
+from repro.storage.scan import columnar_scan, scan_filtered
 from repro.storage.table import Table
 from repro.storage.visitor import CollectVisitor, CountVisitor, SumVisitor
 
-from tests.helpers import brute_force_rows, collected_rows, make_table, random_query
+from tests.helpers import (
+    brute_force_rows,
+    collected_rows,
+    make_table,
+    random_query,
+    runs_from,
+    runs_list,
+)
 
 DIMS = ("x", "y", "z", "w")
 
@@ -91,18 +99,21 @@ class TestQueryPlan:
         runs = plan.coalesced_runs()
         # Every cell is interior (no residual checks) and storage-adjacent:
         # the whole table collapses into a single exact run.
-        assert runs == [(0, table.num_rows, 0)]
+        assert runs_list(runs) == [(0, table.num_rows, 0)]
 
     def test_checks_decode_in_dim_order(self):
         table = make_table(n=1500, dims=DIMS, seed=9)
         index = _flood(table, columns=(4, 4, 4))
         lo_x, hi_x = table.min_max("x")
-        query = Query({"x": (lo_x + 1, hi_x - 1), "y": (0, 400)})
+        query = Query({"x": (lo_x + 1, hi_x - 1), "y": (0, 400), "w": (5, 9)})
         plan = index.plan(query)
-        seen = {plan.checks_for(int(c)) for c in plan.codes}
-        for checks in seen:
-            assert set(checks) <= {"x", "y"}
-            assert list(checks) == [d for d in ("x", "y") if d in checks]
+        checks = plan.check_bounds(query)
+        # No base checks (the sort dim w is refined), then the filtered
+        # grid dims in dim order, each owning the code bit the plan sets
+        # on its boundary columns.
+        assert checks == [("x", lo_x + 1, hi_x - 1, 0b100), ("y", 0, 400, 0b010)]
+        union = int(np.bitwise_or.reduce(plan.codes))
+        assert union & ~0b110 == 0
 
     def test_plan_counts_empty_cells_as_visited(self):
         table = make_table(n=60, dims=DIMS, seed=10)
@@ -212,48 +223,80 @@ class TestBatchQueryEngine:
 
 
 class TestScanRuns:
+    """The columnar scan core against the per-range reference."""
+
     def _table(self, n=3000, seed=21):
         rng = np.random.default_rng(seed)
         return Table({"a": rng.integers(0, 100, size=n), "b": rng.integers(0, 100, size=n)})
 
+    def _scan(self, table, runs, checks, visitor):
+        stats = QueryStats()
+        columnar_scan(table, runs_from(runs), checks, visitor, stats)
+        return stats
+
     def test_gather_path_matches_per_run_path(self):
         table = self._table()
+        table.add_cumulative("b")
         rng = np.random.default_rng(22)
         starts = np.sort(rng.choice(2900, size=40, replace=False))
-        runs = [(int(s), int(s) + int(rng.integers(1, 60))) for s in starts]
+        stops = np.minimum(
+            starts + rng.integers(1, 60, size=40), np.append(starts[1:], 3000)
+        )
+        # Exact runs (code 0) between filtered ones (code 1).
+        codes = rng.integers(0, 2, size=40)
+        runs = list(zip(starts.tolist(), stops.tolist(), codes.tolist()))
         bounds = [("a", 10, 60), ("b", 20, 90)]
-        gather, per_run = CollectVisitor(), CollectVisitor()
-        scanned_g, matched_g = scan_runs(table, bounds, runs, gather)
-        scanned_p = matched_p = 0
-        for start, stop in runs:
-            s, m = scan_filtered(table, bounds, start, stop, per_run)
-            scanned_p += s
-            matched_p += m
-        assert (scanned_g, matched_g) == (scanned_p, matched_p)
-        assert np.array_equal(np.sort(gather.result), np.sort(per_run.result))
+        checks = [(dim, low, high, 1) for dim, low, high in bounds]
+        for make in (CollectVisitor, CountVisitor, lambda: SumVisitor("b")):
+            batched, per_run = make(), make()
+            stats = self._scan(table, runs, checks, batched)
+            scanned_p = matched_p = exact_p = 0
+            for start, stop, code in runs:
+                if code:
+                    s, m = scan_filtered(table, bounds, start, stop, per_run)
+                else:
+                    per_run.visit(table, start, stop, None)
+                    s = m = stop - start
+                    exact_p += s
+                scanned_p += s
+                matched_p += m
+            assert (stats.points_scanned, stats.points_matched, stats.exact_points) == (
+                scanned_p, matched_p, exact_p
+            )
+            assert exact_p and matched_p > exact_p
+            result, expected = batched.result, per_run.result
+            if isinstance(result, np.ndarray):
+                assert np.all(np.diff(result) > 0)  # storage order
+                expected = np.sort(expected)
+            assert np.array_equal(result, expected)
 
     def test_long_runs_take_slice_path(self):
-        table = self._table()
-        runs = [(0, 1500), (1500, 3000)]
-        visitor = CountVisitor()
-        scanned, matched = scan_runs(table, [("a", 0, 49)], runs, visitor)
-        assert scanned == 3000
-        assert matched == visitor.result
+        table = self._table(n=20000)
+        runs = [(0, 10000, 1), (10000, 20000, 1)]
+        visitor, reference = CountVisitor(), CountVisitor()
+        stats = self._scan(table, runs, [("a", 0, 49, 1)], visitor)
+        scan_filtered(table, [("a", 0, 49)], 0, 20000, reference)
+        assert stats.points_scanned == 20000
+        assert stats.points_matched == visitor.result == reference.result
 
     def test_empty_bounds_are_exact(self):
         table = self._table()
         visitor = CountVisitor()
-        scanned, matched = scan_runs(table, [], [(5, 10), (20, 25)], visitor)
-        assert scanned == matched == 10
+        stats = self._scan(table, [(5, 10, 0), (20, 25, 0)], [("a", 0, 9, 1)], visitor)
+        assert stats.points_scanned == stats.points_matched == 10
+        assert stats.exact_points == 10
         assert visitor.result == 10
 
     def test_zero_length_runs_are_safe(self):
         table = self._table()
-        runs = [(0, 0)] * 10 + [(10, 20)]
+        runs = [(0, 0, 1)] * 10 + [(10, 20, 1)]
         visitor = CountVisitor()
-        scanned, matched = scan_runs(table, [("a", 0, 100)], runs, visitor)
-        assert scanned == 10
-        assert matched == 10
+        stats = self._scan(table, runs, [("a", 0, 100, 1)], visitor)
+        assert stats.points_scanned == 10
+        assert stats.points_matched == 10
+        stats = self._scan(table, [], [("a", 0, 100, 1)], visitor)
+        assert stats.points_scanned == 0
+        assert visitor.result == 10
 
 
 class TestBatchResultDefaults:

@@ -63,11 +63,17 @@ class TestFloodCorrectness:
     @pytest.mark.parametrize("flatten", ["rmi", "quantile", "none"])
     @pytest.mark.parametrize("refinement", ["plm", "binary", "none"])
     def test_variants_match_brute_force(self, flatten, refinement):
-        table = make_table(n=500, seed=4, skew=True)
+        # "w" is filterable but not indexed: a residual check on every run.
+        table = make_table(n=500, dims=DIMS + ("w",), seed=4, skew=True)
         index = _flood(table, flatten=flatten, refinement=refinement)
         rng = np.random.default_rng(5)
-        for _ in range(8):
-            query = random_query(table, rng)
+        queries = [random_query(table, rng) for _ in range(8)] + [
+            Query({"x": table.min_max("x")}),  # whole domain: exact runs
+            Query({"y": (100, 900), "w": (200, 700)}),
+            # Past the sort dim's maximum: refines to an empty plan.
+            Query({"z": (table.min_max("z")[1] + 1, 10**9)}),
+        ]
+        for query in queries:
             assert np.array_equal(
                 collected_rows(index, query), brute_force_rows(index, query)
             ), f"flatten={flatten} refinement={refinement} {query}"

@@ -25,7 +25,14 @@ from repro.storage.visitor import (
     SumVisitor,
 )
 
-from tests.helpers import brute_force_rows, collected_rows, make_table, random_query
+from tests.helpers import (
+    brute_force_rows,
+    collected_rows,
+    make_table,
+    random_query,
+    runs_from,
+    runs_list,
+)
 
 DIMS = ("x", "y", "z", "w")
 
@@ -42,15 +49,20 @@ def _workload(table, n=12, seed=0):
     return [random_query(table, rng) for _ in range(n)]
 
 
+def _split(runs, boundaries):
+    """split_runs over ``(start, stop, code)`` triples, per shard."""
+    return [runs_list(shard) for shard in split_runs(runs_from(runs), boundaries)]
+
+
 class TestSplitRuns:
     def test_runs_inside_one_shard_pass_through(self):
-        runs = [(0, 5, 0), (7, 9, 1)]
-        per_shard = split_runs(runs, [0, 10, 20])
+        runs = [(0, 5, 0), (6, 6, 2), (7, 9, 1)]  # zero-length runs vanish
+        per_shard = _split(runs, [0, 10, 20])
         assert per_shard == [[(0, 5, 0), (7, 9, 1)], []]
 
     def test_run_crossing_boundaries_is_split_with_code_kept(self):
         runs = [(5, 35, 3)]
-        per_shard = split_runs(runs, [0, 10, 20, 30, 40])
+        per_shard = _split(runs, [0, 10, 20, 30, 40])
         assert per_shard == [
             [(5, 10, 3)],
             [(10, 20, 3)],
@@ -66,7 +78,7 @@ class TestSplitRuns:
             for i in range(0, 24, 2)
         ]
         boundaries = [0, 130, 400, 777, 1000]
-        per_shard = split_runs(runs, boundaries)
+        per_shard = _split(runs, boundaries)
         flat = [r for shard in per_shard for r in shard]
         # Same rows covered, same codes, still storage-ordered.
         assert sum(stop - start for start, stop, _ in flat) == sum(
@@ -78,7 +90,7 @@ class TestSplitRuns:
                 assert boundaries[k] <= start < stop <= boundaries[k + 1]
 
     def test_empty_runs_list(self):
-        assert split_runs([], [0, 10, 20]) == [[], []]
+        assert _split([], [0, 10, 20]) == [[], []]
 
 
 class TestShardBounds:

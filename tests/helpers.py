@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.query.predicate import Query
+from repro.storage.scan import Runs
 from repro.storage.table import Table
 from repro.storage.visitor import CollectVisitor
 
@@ -33,6 +34,17 @@ def random_query(table, rng, num_dims=None):
         a, b = sorted(rng.integers(lo, hi + 1, size=2).tolist())
         ranges[dim] = (a, b)
     return Query(ranges)
+
+
+def runs_from(triples) -> Runs:
+    """:class:`Runs` from ``(start, stop, code)`` triples."""
+    arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    return Runs(*(np.ascontiguousarray(arr[:, j]) for j in range(3)))
+
+
+def runs_list(runs: Runs) -> list[tuple[int, int, int]]:
+    """The ``(start, stop, code)`` triples of :class:`Runs`."""
+    return list(zip(runs.starts.tolist(), runs.stops.tolist(), runs.codes.tolist()))
 
 
 def brute_force_rows(index, query):

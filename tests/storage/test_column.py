@@ -54,6 +54,28 @@ class TestCompressedColumn:
         idx = np.array([0, 100, 700, 713])
         assert np.array_equal(col.take(idx), values[idx])
 
+    @pytest.mark.parametrize(
+        "width,span",
+        [(np.uint8, 200), (np.uint16, 60_000), (np.uint32, 2**31), (np.uint64, 2**40)],
+    )
+    def test_take_matches_decode_for_every_delta_width(self, width, span):
+        rng = np.random.default_rng(span % 997)
+        values = rng.integers(0, span, size=1000, dtype=np.int64)
+        values[0], values[1] = 0, span  # pin the block's widest delta
+        if width is np.uint64:
+            # Blocks at both ends of the int64 range: int64 + uint64 would
+            # promote to float64 and round these values.
+            big = np.iinfo(np.int64)
+            values[:128] += big.min
+            values[-100:] = big.max - values[-100:]
+        col = CompressedColumn(values)
+        assert col._deltas.dtype == width
+        idx = rng.integers(0, values.size, size=3000)
+        got = col.take(idx)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, col.decode()[idx])
+        np.testing.assert_array_equal(got, values[idx])
+
     def test_empty_column(self):
         col = CompressedColumn(np.array([], dtype=np.int64))
         assert len(col) == 0
